@@ -405,10 +405,12 @@ pub enum EcnResponse {
 
 /// Which end-host transport the simulation runs.
 ///
-/// Selects the concrete state machine behind
-/// [`TransportSender`](crate::transport::TransportSender) /
-/// [`TransportReceiver`](crate::transport::TransportReceiver); enum
-/// dispatch keeps the per-event hot path monomorphic.
+/// Selects the congestion control inside
+/// [`TransportSender`](crate::transport::TransportSender) and the
+/// ECN-Echo rule of
+/// [`TransportReceiver`](crate::transport::TransportReceiver); the
+/// flow-level engines read the same transport's closed-form mark
+/// response.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransportKind {
     /// DCTCP: per-window `alpha` EWMA with gentle multiplicative decrease.
@@ -438,8 +440,6 @@ pub struct TransportConfig {
     pub mss: u64,
     /// Initial congestion window in segments (the paper uses 16).
     pub init_cwnd_pkts: u64,
-    /// DCTCP `g` (EWMA gain for `alpha`).
-    pub g: f64,
     /// Minimum retransmission timeout, nanoseconds.
     pub rto_min_nanos: u64,
     /// RTO before any RTT sample, nanoseconds.
@@ -467,7 +467,6 @@ impl Default for TransportConfig {
             kind: TransportKind::default(),
             mss: crate::packet::DEFAULT_MSS,
             init_cwnd_pkts: 16,
-            g: 1.0 / 16.0,
             rto_min_nanos: 2_000_000,   // 2 ms
             rto_init_nanos: 10_000_000, // 10 ms
             max_cwnd_bytes: 1_500_000,  // ~1000 segments

@@ -9,7 +9,7 @@
 //! defines them instead of in a growing if-chain. Adding an engine
 //! means adding an impl here — the experiment layer never changes.
 
-use crate::config::EngineKind;
+use crate::config::{EcnResponse, EngineKind};
 use crate::experiment::{Experiment, Topology};
 use crate::world::RunResults;
 
@@ -25,6 +25,12 @@ pub(crate) trait Engine {
     /// Whether the engine models the shared buffer policies
     /// ([`crate::buffer::BufferPolicy`] other than `Static`).
     fn supports_shared_buffers(&self) -> bool {
+        false
+    }
+    /// Whether the engine models [`EcnResponse::Classic`]. The
+    /// flow-level engines answer a DCTCP flow's marks with DCTCP's
+    /// closed-form response whatever the configured cut.
+    fn supports_classic_ecn(&self) -> bool {
         false
     }
     /// Whether `sim_threads > 1` changes how the engine runs. Engines
@@ -47,6 +53,9 @@ impl Engine for PacketEngine {
         true
     }
     fn supports_shared_buffers(&self) -> bool {
+        true
+    }
+    fn supports_classic_ecn(&self) -> bool {
         true
     }
     fn uses_sim_threads(&self) -> bool {
@@ -121,8 +130,8 @@ fn engine_for(kind: EngineKind) -> &'static dyn Engine {
 /// # Panics
 ///
 /// Panics when the experiment asks for a capability its engine does not
-/// implement (fault schedules or shared buffer policies on a flow-level
-/// engine).
+/// implement (fault schedules, shared buffer policies or the classic ECN
+/// response on a flow-level engine).
 pub(crate) fn run(e: Experiment, end_nanos: u64) -> RunResults {
     let engine = engine_for(e.engine);
     if !engine.supports_faults() {
@@ -142,6 +151,15 @@ pub(crate) fn run(e: Experiment, end_nanos: u64) -> RunResults {
             e.switch_cfg.buffer.name()
         );
     }
+    if !engine.supports_classic_ecn() {
+        assert!(
+            e.transport.ecn_response != EcnResponse::Classic,
+            "the {} engine supports only the 'dctcp' ECN response, got 'classic' \
+             (accepted: dctcp|classic on the packet engine, dctcp only on \
+             fluid/hybrid/regional)",
+            engine.kind().name()
+        );
+    }
     if !engine.uses_sim_threads() && e.sim_threads > 1 {
         eprintln!(
             "note: --sim-threads {} ignored: the {} engine is single-threaded by design \
@@ -151,4 +169,42 @@ pub(crate) fn run(e: Experiment, end_nanos: u64) -> RunResults {
         );
     }
     engine.run(e, end_nanos)
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::config::{EcnResponse, EngineKind, TransportConfig};
+    use crate::experiment::{Experiment, FlowDesc};
+
+    fn classic(engine: EngineKind) -> Experiment {
+        let mut e = Experiment::dumbbell(2, 2)
+            .engine(engine)
+            .transport(TransportConfig {
+                ecn_response: EcnResponse::Classic,
+                ..TransportConfig::default()
+            });
+        e.add_flow(FlowDesc::bulk(0, 2, 0, 100_000));
+        e
+    }
+
+    /// The flow-level engines model only DCTCP's proportional cut;
+    /// asking them for the classic response must fail fast with the
+    /// accepted variants named instead of silently running DCTCP.
+    #[test]
+    fn flow_level_engines_reject_classic_ecn() {
+        for engine in [EngineKind::Fluid, EngineKind::Hybrid, EngineKind::Regional] {
+            let err = std::panic::catch_unwind(|| classic(engine).run_for_millis(5))
+                .expect_err("classic ECN must be rejected");
+            let msg = err
+                .downcast_ref::<String>()
+                .expect("formatted panic message");
+            assert!(
+                msg.contains("accepted: dctcp|classic"),
+                "{}: {msg}",
+                engine.name()
+            );
+        }
+        let res = classic(EngineKind::Packet).run_for_millis(5);
+        assert_eq!(res.fct.len(), 1, "the packet engine runs classic ECN");
+    }
 }

@@ -181,38 +181,6 @@ fn ceil_div(a: u64, b: u64) -> u64 {
     a / b + u64::from(!a.is_multiple_of(b))
 }
 
-/// Integer square root (floor).
-fn isqrt(n: u64) -> u64 {
-    if n == 0 {
-        return 0;
-    }
-    let mut x = (n as f64).sqrt() as u64;
-    // Float seeding then exact fix-up keeps this deterministic.
-    while x > 0 && x * x > n {
-        x -= 1;
-    }
-    while (x + 1).saturating_mul(x + 1) <= n {
-        x += 1;
-    }
-    x
-}
-
-/// The steady-state marking fraction (ppm) a congestion-controlled flow
-/// with window `w_pkts` settles at: DCTCP's fluid model gives
-/// `α ≈ √(2/W)`, NewReno's classic-ECN throughput relation gives
-/// `p ≈ 3/(2W²)`.
-fn curve_p_ppm(kind: TransportKind, w_pkts: u64) -> u64 {
-    let w = w_pkts.max(1);
-    match kind {
-        TransportKind::Dctcp => isqrt(2_000_000_000_000 / w).min(1_000_000),
-        TransportKind::NewReno => (1_500_000 / (w.saturating_mul(w))).min(1_000_000),
-    }
-}
-
-/// NewReno's classic halve-on-mark sawtooth averages 3/4 of the
-/// allocated share (the window oscillates between W/2 and W).
-const NEWRENO_UTIL_PPM: u64 = 750_000;
-
 struct Engine {
     world: World,
     switch_base: Vec<u32>,
@@ -501,7 +469,7 @@ impl Engine {
             let w_pkts = ((f.rate_bps as u128 * rtt as u128)
                 / (8_000_000_000u128 * self.mss as u128))
                 .min(u64::MAX as u128) as u64;
-            let p_base = curve_p_ppm(self.kind, w_pkts);
+            let p_base = self.kind.steady_mark_ppm(w_pkts);
             let mut p = 0u64;
             for l in &f.path {
                 let i = self.sat_index[*l as usize];
@@ -518,11 +486,8 @@ impl Engine {
                 }
             }
             f.p_ppm = p;
-            if self.kind == TransportKind::NewReno && p > 0 {
-                // The halve-on-mark sawtooth leaves capacity unused.
-                f.rate_bps = (f.rate_bps / 1_000_000 * NEWRENO_UTIL_PPM
-                    + f.rate_bps % 1_000_000 * NEWRENO_UTIL_PPM / 1_000_000)
-                    .max(1);
+            if p > 0 {
+                f.rate_bps = self.kind.marked_rate_bps(f.rate_bps);
             }
             if let Some(r) = self.region.as_mut() {
                 r.set_alloc(f.id, f.rate_bps, f.rtt_nanos, now);
@@ -864,29 +829,6 @@ mod tests {
     use super::*;
     use crate::config::MarkingConfig;
     use crate::experiment::Experiment;
-
-    #[test]
-    fn isqrt_is_exact() {
-        for n in [0u64, 1, 2, 3, 4, 15, 16, 17, 1_000_000, u32::MAX as u64] {
-            let r = isqrt(n);
-            assert!(r * r <= n);
-            assert!((r + 1).saturating_mul(r + 1) > n);
-        }
-    }
-
-    #[test]
-    fn response_curves_are_monotone() {
-        let mut prev = u64::MAX;
-        for w in [1u64, 2, 4, 16, 64, 256, 1024] {
-            let p = curve_p_ppm(TransportKind::Dctcp, w);
-            assert!(p <= prev, "DCTCP p must fall with W");
-            prev = p;
-        }
-        assert!(
-            curve_p_ppm(TransportKind::NewReno, 10) < curve_p_ppm(TransportKind::Dctcp, 10),
-            "at equal W, NewReno needs far fewer marks than DCTCP"
-        );
-    }
 
     #[test]
     fn fluid_dumbbell_completes_flows() {

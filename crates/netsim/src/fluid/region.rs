@@ -37,6 +37,7 @@ use crate::buffer::{Admit, SharedPool};
 use crate::config::TransportKind;
 use crate::experiment::Experiment;
 use crate::packet::MTU_WIRE_BYTES;
+use crate::transport::cc::alpha_update_ppm;
 use crate::world::port::PacketPortView;
 use crate::world::World;
 
@@ -404,15 +405,10 @@ impl PacketRegion {
         } else {
             0
         };
-        f.alpha_ppm = (f.alpha_ppm * 15 + frac_ppm) / 16;
+        f.alpha_ppm = alpha_update_ppm(f.alpha_ppm, frac_ppm);
         let rtt = f.rtt_nanos.max(1_000);
         if f.window_marks > 0 {
-            f.cur_rate_bps = match kind {
-                TransportKind::Dctcp => f.cur_rate_bps.saturating_sub(
-                    (f.cur_rate_bps as u128 * f.alpha_ppm as u128 / 2_000_000) as u64,
-                ),
-                TransportKind::NewReno => f.cur_rate_bps / 2,
-            };
+            f.cur_rate_bps = kind.cut_rate_bps(f.cur_rate_bps, f.alpha_ppm);
         } else {
             // One MSS per RTT of additive probing, like the real sender;
             // the overshoot past the fair share is what sustains the
