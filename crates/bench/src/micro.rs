@@ -422,8 +422,9 @@ fn parallel_cases(out: &mut String, quick: bool, samples: u32) -> Vec<CaseResult
         })
         .collect();
     // The last sharded run above was a `threads_4` sample (`threads_1`
-    // takes the sequential path and never touches the profile), so the
-    // process-wide last-run profile describes exactly that case.
+    // takes the sequential path and never touches the profile), run on
+    // this thread, so this thread's last-run profile describes exactly
+    // that case.
     *PARALLEL_PROFILE.lock().expect("profile lock") = Some(pmsb_simcore::lp::last_run_profile());
     results
 }

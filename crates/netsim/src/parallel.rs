@@ -16,8 +16,8 @@
 
 use pmsb_metrics::fct::{FctRecorder, FlowRecord};
 use pmsb_simcore::{
-    run_conservative_matrix, EventHandler, LogicalProcess, LookaheadMatrix, LpMessage, SimTime,
-    Simulation, TieKey,
+    last_run_profile, publish_run_profile, run_conservative_matrix, EventHandler, LogicalProcess,
+    LookaheadMatrix, LpMessage, LpRunProfile, SimTime, Simulation, TieKey,
 };
 
 use crate::experiment::Experiment;
@@ -57,9 +57,18 @@ impl LogicalProcess for ShardLp {
     }
 }
 
+/// [`LpRunProfile::fallback`] when the partition cuts a zero-delay link.
+const FALLBACK_ZERO_DELAY: &str = "zero-delay cut link";
+/// [`LpRunProfile::fallback`] when the sharded run hit ambiguous ties.
+const FALLBACK_AMBIGUOUS_TIES: &str = "ambiguous same-instant ties";
+
 /// Runs `exp` to `end_nanos` on `k` logical processes. Falls back to the
 /// sequential path when the partition cuts a zero-delay link (no safe
-/// lookahead window exists across it).
+/// lookahead window exists across it) or when the sharded schedule hit
+/// an ambiguous tie. Every exit publishes [`last_run_profile`] with the
+/// tie count and the fallback reason, if any.
+///
+/// [`last_run_profile`]: pmsb_simcore::last_run_profile
 pub(crate) fn run_sharded(exp: &Experiment, k: usize, end_nanos: u64) -> RunResults {
     let mut worlds: Vec<World> = (0..k).map(|_| exp.build_world()).collect();
     let owner = match exp.partition {
@@ -68,6 +77,10 @@ pub(crate) fn run_sharded(exp: &Experiment, k: usize, end_nanos: u64) -> RunResu
     };
     let direct = worlds[0].lp_delay_matrix(&owner, k);
     if direct.contains(&0) {
+        publish_run_profile(LpRunProfile {
+            fallback: Some(FALLBACK_ZERO_DELAY),
+            ..LpRunProfile::default()
+        });
         return worlds.swap_remove(0).run_until_nanos(end_nanos);
     }
     let lookahead = LookaheadMatrix::from_direct(k, direct);
@@ -76,9 +89,11 @@ pub(crate) fn run_sharded(exp: &Experiment, k: usize, end_nanos: u64) -> RunResu
         .enumerate()
         .map(|(lp, mut w)| {
             w.set_shard(lp, owner.clone());
-            ShardLp {
-                sim: w.prepare(end_nanos),
-            }
+            let mut sim = w.prepare(end_nanos);
+            // Cross-LP messages carry tie keys (DESIGN.md §6, §8); only
+            // the LPs' queues pay for tracking them.
+            sim.queue.enable_tie_keys();
+            ShardLp { sim }
         })
         .collect();
     run_conservative_matrix(&mut lps, &lookahead, SimTime::from_nanos(end_nanos));
@@ -89,10 +104,14 @@ pub(crate) fn run_sharded(exp: &Experiment, k: usize, end_nanos: u64) -> RunResu
     // counted at pop time; zero collisions proves the schedule matched
     // the sequential run, so a non-zero count discards the sharded
     // results and reruns sequentially — correctness over speed.
-    let ambiguous: u64 = lps.iter().map(|lp| lp.sim.queue.ambiguous_ties()).sum();
-    if ambiguous > 0 {
+    let mut profile = last_run_profile();
+    profile.ambiguous_ties = lps.iter().map(|lp| lp.sim.queue.ambiguous_ties()).sum();
+    if profile.ambiguous_ties > 0 {
+        profile.fallback = Some(FALLBACK_AMBIGUOUS_TIES);
+        publish_run_profile(profile);
         return exp.build_world().run_until_nanos(end_nanos);
     }
+    publish_run_profile(profile);
     let parts = lps
         .into_iter()
         .map(|lp| {

@@ -814,6 +814,18 @@ mod tests {
     use super::*;
     use crate::config::{MarkingConfig, SchedulerConfig, TransportKind};
 
+    /// Every pending packet-engine event occupies one FEL arena node, so
+    /// the node size is the engine's per-event memory floor. It holds no
+    /// tie key: keys live out of line on the sharded runtime's queues.
+    #[test]
+    fn fel_nodes_fit_their_budget() {
+        assert!(
+            EventQueue::<Event>::node_bytes() <= 128,
+            "Node<Event> is {} bytes",
+            EventQueue::<Event>::node_bytes()
+        );
+    }
+
     /// `num_senders` sender hosts plus one receiver (the last host) on a
     /// single switch; host NICs mirror the switch marking.
     fn star_world(num_senders: usize, marking: MarkingConfig) -> World {

@@ -3,14 +3,77 @@
 //! every record, counter, trace, and fault interaction — for any `n`,
 //! under either partition strategy, across all marking schemes and with
 //! fault schedules attached.
+//!
+//! Byte equality alone would pass if every sharded run were thrown away
+//! and rerun sequentially, so each case also reads the run's
+//! [`LpRunProfile`]: the exact count of ambiguous same-instant ties it
+//! hit (which decides whether the sharded result is kept) and the
+//! fallback reason. The expected counts pin the FEL's keyed tie order —
+//! a change that reorders ties moves them.
 
 use pmsb_netsim::experiment::{
     Experiment, FaultSchedule, FlowDesc, MarkingConfig, PartitionStrategy, RunResults, TraceConfig,
 };
+use pmsb_simcore::{last_run_profile, publish_run_profile, LpRunProfile};
 use pmsb_workload::{PatternSpec, SizeDistSpec};
 
-const PARTITIONS: [PartitionStrategy; 2] =
-    [PartitionStrategy::Contiguous, PartitionStrategy::Traffic];
+/// The sharded cases of one experiment, in the order
+/// [`run_sharded_cases`] runs them.
+const CASES: [(PartitionStrategy, usize); 4] = [
+    (PartitionStrategy::Contiguous, 2),
+    (PartitionStrategy::Contiguous, 4),
+    (PartitionStrategy::Traffic, 2),
+    (PartitionStrategy::Traffic, 4),
+];
+
+/// Runs `mk()` at `sim_threads(t)` under partition `p`, after planting a
+/// sentinel profile that the run must overwrite, and returns the result
+/// with the profile the run published.
+fn run_sharded(
+    mk: impl Fn() -> Experiment,
+    partition: PartitionStrategy,
+    threads: usize,
+    millis: u64,
+) -> (RunResults, LpRunProfile) {
+    publish_run_profile(LpRunProfile {
+        fallback: Some("stale sentinel"),
+        ..LpRunProfile::default()
+    });
+    let res = mk()
+        .sim_threads(threads)
+        .partition(partition)
+        .run_for_millis(millis);
+    let profile = last_run_profile();
+    assert_ne!(
+        profile.fallback,
+        Some("stale sentinel"),
+        "sim_threads({threads}) with {partition:?} left the previous profile in place"
+    );
+    (res, profile)
+}
+
+/// Checks a sharded run's profile against its expected ambiguous-tie
+/// count; returns whether the sharded result was kept.
+fn check_profile(
+    label: &str,
+    partition: PartitionStrategy,
+    threads: usize,
+    p: &LpRunProfile,
+    expected_ties: u64,
+) -> bool {
+    assert_eq!(
+        p.ambiguous_ties, expected_ties,
+        "[{label}] sim_threads({threads}) with {partition:?}: ambiguous ties"
+    );
+    let kept = expected_ties == 0;
+    let expected_fallback = (!kept).then_some("ambiguous same-instant ties");
+    assert_eq!(
+        p.fallback, expected_fallback,
+        "[{label}] sim_threads({threads}) with {partition:?}: fallback"
+    );
+    assert!(p.windows > 0, "[{label}] the sharded attempt ran no window");
+    kept
+}
 
 /// Canonical text form of everything a run observes; byte equality here
 /// is the parallel-vs-sequential gate.
@@ -73,63 +136,103 @@ fn small_fabric(marking: MarkingConfig) -> Experiment {
     e
 }
 
-fn assert_threads_match(mk: impl Fn() -> Experiment, millis: u64) {
+/// Runs every sharded case of `mk` against the sequential run, asserting
+/// byte-identical results and the per-case ambiguous-tie counts
+/// `expected_ties` (in [`CASES`] order). Returns how many cases kept
+/// their sharded result.
+fn assert_threads_match(
+    label: &str,
+    mk: impl Fn() -> Experiment,
+    millis: u64,
+    expected_ties: [u64; 4],
+) -> usize {
     let sequential = fingerprint(&mk().run_for_millis(millis));
-    for partition in PARTITIONS {
-        for threads in [2, 4] {
-            let parallel = fingerprint(
-                &mk()
-                    .sim_threads(threads)
-                    .partition(partition)
-                    .run_for_millis(millis),
-            );
-            if sequential != parallel {
-                for (a, b) in sequential.lines().zip(parallel.lines()) {
-                    if a != b {
-                        panic!(
-                            "sim_threads({threads}) with {partition:?} diverged:\nseq: {a}\npar: {b}"
-                        );
-                    }
+    let mut kept = 0;
+    for ((partition, threads), ties) in CASES.into_iter().zip(expected_ties) {
+        let (res, profile) = run_sharded(&mk, partition, threads, millis);
+        let parallel = fingerprint(&res);
+        if sequential != parallel {
+            for (a, b) in sequential.lines().zip(parallel.lines()) {
+                if a != b {
+                    panic!(
+                        "[{label}] sim_threads({threads}) with {partition:?} diverged:\nseq: {a}\npar: {b}"
+                    );
                 }
-                panic!(
-                    "sim_threads({threads}) with {partition:?} diverged: line counts {} vs {}",
-                    sequential.lines().count(),
-                    parallel.lines().count()
-                );
             }
+            panic!(
+                "[{label}] sim_threads({threads}) with {partition:?} diverged: line counts {} vs {}",
+                sequential.lines().count(),
+                parallel.lines().count()
+            );
         }
+        kept += usize::from(check_profile(label, partition, threads, &profile, ties));
     }
+    kept
 }
 
 #[test]
 fn all_marking_schemes_match_sequential() {
+    // Expected ambiguous ties per scheme, in `CASES` order.
     let schemes = [
-        MarkingConfig::None,
-        MarkingConfig::PerQueueStandard { threshold_pkts: 16 },
-        MarkingConfig::PerQueueFractional { total_pkts: 16 },
-        MarkingConfig::PerPort { threshold_pkts: 16 },
-        MarkingConfig::PerPool { threshold_pkts: 24 },
-        MarkingConfig::MqEcn { standard_pkts: 16 },
-        MarkingConfig::Tcn {
-            threshold_nanos: 39_000,
-        },
-        MarkingConfig::Pmsb {
-            port_threshold_pkts: 12,
-        },
-        MarkingConfig::Red {
-            min_pkts: 5,
-            max_pkts: 20,
-            max_p: 0.8,
-        },
+        (MarkingConfig::None, [20, 13, 297, 13]),
+        (
+            MarkingConfig::PerQueueStandard { threshold_pkts: 16 },
+            [20, 13, 297, 13],
+        ),
+        (
+            MarkingConfig::PerQueueFractional { total_pkts: 16 },
+            [17, 17, 214, 17],
+        ),
+        (
+            MarkingConfig::PerPort { threshold_pkts: 16 },
+            [20, 13, 301, 13],
+        ),
+        (
+            MarkingConfig::PerPool { threshold_pkts: 24 },
+            [7, 0, 268, 0],
+        ),
+        (
+            MarkingConfig::MqEcn { standard_pkts: 16 },
+            [20, 13, 297, 13],
+        ),
+        (
+            MarkingConfig::Tcn {
+                threshold_nanos: 39_000,
+            },
+            [20, 13, 297, 13],
+        ),
+        (
+            MarkingConfig::Pmsb {
+                port_threshold_pkts: 12,
+            },
+            [17, 13, 266, 13],
+        ),
+        (
+            MarkingConfig::Red {
+                min_pkts: 5,
+                max_pkts: 20,
+                max_p: 0.8,
+            },
+            [17, 11, 261, 11],
+        ),
     ];
-    for marking in schemes {
-        assert_threads_match(|| small_fabric(marking.clone()), 15);
+    let mut kept = 0;
+    for (marking, ties) in schemes {
+        let label = format!("{marking:?}");
+        kept += assert_threads_match(&label, || small_fabric(marking.clone()), 15, ties);
     }
+    // Floor on sharded results actually kept: per-pool marking at four
+    // LPs shards without a single ambiguous tie under both partitions.
+    assert!(
+        kept >= 2,
+        "only {kept} of 36 sharded runs kept their result"
+    );
 }
 
 #[test]
 fn traces_and_rtt_match_sequential() {
     assert_threads_match(
+        "traces",
         || {
             let mut t = TraceConfig::watch_port(0, 4, 50_000); // a leaf uplink
             t.watch_ports.push((2, 0)); // and a spine downlink
@@ -140,6 +243,7 @@ fn traces_and_rtt_match_sequential() {
             .record_rtt()
         },
         15,
+        [17, 13, 266, 13],
     );
 }
 
@@ -189,19 +293,14 @@ fn uplink_flap_schedule_matches_sequential() {
         "flap must fire inside the horizon"
     );
     let sequential = fingerprint(&sequential);
-    for partition in PARTITIONS {
-        for threads in [2, 4] {
-            let parallel = fingerprint(
-                &mk()
-                    .sim_threads(threads)
-                    .partition(partition)
-                    .run_for_millis(30),
-            );
-            assert_eq!(
-                sequential, parallel,
-                "sim_threads({threads}) with {partition:?} diverged under the fault schedule"
-            );
-        }
+    for ((partition, threads), ties) in CASES.into_iter().zip([67, 113, 74, 117]) {
+        let (res, profile) = run_sharded(&mk, partition, threads, 30);
+        assert_eq!(
+            sequential,
+            fingerprint(&res),
+            "sim_threads({threads}) with {partition:?} diverged under the fault schedule"
+        );
+        check_profile("uplink flap", partition, threads, &profile, ties);
     }
 }
 
@@ -228,7 +327,7 @@ fn large_scale_fabric_matches_sequential() {
         }
         e
     };
-    assert_threads_match(mk, 20);
+    assert_threads_match("large scale", mk, 20, [35, 41, 30, 59]);
 }
 
 /// A k=8 fat-tree (80 switches, 128 hosts) driven by a streaming
@@ -250,7 +349,7 @@ fn fat_tree_streaming_matches_sequential() {
             )
             .stream_record_exact()
     };
-    assert_threads_match(mk, 15);
+    assert_threads_match("fat-tree streaming", mk, 15, [1320, 1729, 1138, 982]);
 }
 
 /// A dumbbell has one switch: any thread count collapses to the
@@ -266,5 +365,33 @@ fn dumbbell_collapses_to_sequential() {
         e.add_flow(FlowDesc::bulk(2, 3, 2, 500_000));
         e
     };
-    assert_threads_match(mk, 10);
+    let sequential = fingerprint(&mk().run_for_millis(10));
+    for (partition, threads) in CASES {
+        let parallel = mk()
+            .sim_threads(threads)
+            .partition(partition)
+            .run_for_millis(10);
+        assert_eq!(sequential, fingerprint(&parallel));
+    }
+}
+
+/// Zero-delay links leave no lookahead across a cut: the sharded runner
+/// must fall back before running a window, and say so in the profile
+/// instead of leaving the previous run's there.
+#[test]
+fn zero_delay_cut_falls_back_and_says_so() {
+    let mk = || {
+        small_fabric(MarkingConfig::Pmsb {
+            port_threshold_pkts: 12,
+        })
+        .link_delay_nanos(0)
+    };
+    let sequential = fingerprint(&mk().run_for_millis(5));
+    for (partition, threads) in CASES {
+        let (res, profile) = run_sharded(mk, partition, threads, 5);
+        assert_eq!(sequential, fingerprint(&res));
+        assert_eq!(profile.fallback, Some("zero-delay cut link"));
+        assert_eq!(profile.windows, 0);
+        assert_eq!(profile.ambiguous_ties, 0);
+    }
 }

@@ -17,9 +17,9 @@
 //! layout and the determinism argument; `crate::heap_fel::HeapQueue` is the
 //! reference implementation the wheel is differentially tested against.
 
+use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
-use crate::heap_fel::Scheduled;
 use crate::{EventHandler, SimTime};
 
 /// Ancestor push instants carried in a [`TieKey`] (including the
@@ -27,24 +27,27 @@ use crate::{EventHandler, SimTime};
 /// differ anywhere in the last sixteen hops order exactly as a
 /// sequential run would; chains in lockstep for longer than that
 /// collide, which [`EventQueue::ambiguous_ties`] detects so sharded
-/// runs can fall back rather than diverge. Sixteen is empirically deep
-/// enough that the committed campaigns shard without a single
-/// collision; deeper keys buy rarer fallbacks at a memory-bandwidth
-/// cost on every scheduled event.
-pub(crate) const KEY_DEPTH: usize = 16;
+/// runs can fall back rather than diverge. Deeper keys buy rarer
+/// fallbacks at a memory-bandwidth cost on every event a keyed queue
+/// schedules.
+const KEY_DEPTH: usize = 16;
 
 /// An opaque FEL tie-breaking key: the instant an event was pushed plus
 /// a bounded window of its ancestors' push instants, compared
-/// lexicographically before insertion order. [`EventQueue::push`]
-/// derives it automatically (the key of the event being handled seeds
-/// its children's keys), which keeps plain sequential use exactly FIFO
-/// per instant. Conservative-parallel runs capture a sender's key with
-/// [`EventQueue::current_tie_key`] and replay it on another shard via
-/// [`EventQueue::push_ordered`], so a message physically inserted at a
-/// window barrier still sorts where the sequential run's push (made
-/// mid-handling at the send instant) would have placed it.
+/// lexicographically before insertion order. Only keyed queues
+/// ([`EventQueue::enable_tie_keys`]) track keys: [`EventQueue::push`]
+/// derives one automatically (the key of the event being handled seeds
+/// its children's keys). Conservative-parallel runs capture a sender's
+/// key with [`EventQueue::current_tie_key`] and replay it on another
+/// shard via [`EventQueue::push_ordered`], so a message physically
+/// inserted at a window barrier still sorts where the sequential run's
+/// push (made mid-handling at the send instant) would have placed it.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug, Default)]
-pub struct TieKey(pub(crate) [u64; KEY_DEPTH]);
+pub struct TieKey([u64; KEY_DEPTH]);
+
+/// The key of every event pushed before the first pop, and the one a
+/// `NIL` key index stands for.
+const ZERO_KEY: TieKey = TieKey([0; KEY_DEPTH]);
 
 /// Low bits of a `seq` holding the per-queue push counter. The high bits
 /// tag cross-shard insertions ([`SEQ_MSG_BIT`] plus the source stream),
@@ -78,7 +81,8 @@ const UP_LEVELS: usize = 6;
 const WHEEL_BITS: u32 = L0_BITS + UP_BITS * UP_LEVELS as u32;
 /// Total slots across all levels.
 const SLOT_COUNT: usize = L0_SLOTS + UP_SLOTS * UP_LEVELS;
-/// Null link in the arena's intrusive lists.
+/// Null link in the arena's intrusive lists, and the key-slab index of
+/// the all-zero [`TieKey`].
 const NIL: u32 = u32::MAX;
 
 /// Bit shift selecting the digit of upper level `level` (1-based).
@@ -95,30 +99,149 @@ const fn up_base(level: usize) -> usize {
 /// `event` is `None` only while the node sits on the free list.
 struct Node<E> {
     at: u64,
-    key: TieKey,
     seq: u64,
     next: u32,
+    /// The event's [`KeyState`] slab index (`NIL` on an unkeyed queue).
+    key: u32,
     event: Option<E>,
 }
 
-/// An event staged for immediate service (popped out of the arena).
+/// An event out of the arena: staged in the batch for immediate
+/// service, or waiting in the overflow heap, which orders entries by
+/// `(at, seq)` — the full order of an unkeyed queue. A keyed queue
+/// stages each overflow instant whole and lets the batch sort apply the
+/// keys (see [`EventQueue::sort_batch`]).
 struct Staged<E> {
     at: u64,
-    key: TieKey,
     seq: u64,
+    /// The event's [`KeyState`] slab index (`NIL` on an unkeyed queue).
+    key: u32,
     event: E,
 }
+
+impl<E> PartialEq for Staged<E> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.at, self.seq) == (other.at, other.seq)
+    }
+}
+impl<E> Eq for Staged<E> {}
+impl<E> PartialOrd for Staged<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<E> Ord for Staged<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // BinaryHeap is a max-heap; invert so the earliest (at, seq)
+        // pops first.
+        (other.at, other.seq).cmp(&(self.at, self.seq))
+    }
+}
+
+/// Tie-key bookkeeping of a keyed queue. Keys live out of line, so an
+/// unkeyed queue's nodes carry only a 4-byte index that stays `NIL`.
+struct KeyState {
+    /// Keys of pending events, indexed by `Node::key` / `Staged::key`;
+    /// a served event's slot is recycled through `free`.
+    slab: Vec<TieKey>,
+    free: Vec<u32>,
+    /// Key of the event most recently popped (the one being handled);
+    /// pushes made while handling it derive their keys from it.
+    cur: TieKey,
+    /// `true` once [`EventQueue::push_ordered`] has been used: only then
+    /// can a tie be ambiguous, so the detector stays off until then.
+    tagged: bool,
+    /// `(at, key, seq)` of the most recently served event, for the
+    /// adjacency check in [`served`](Self::served).
+    last_pop: (u64, TieKey, u64),
+    /// See [`EventQueue::ambiguous_ties`].
+    ambiguous_ties: u64,
+}
+
+impl Default for KeyState {
+    fn default() -> Self {
+        KeyState {
+            slab: Vec::new(),
+            free: Vec::new(),
+            cur: ZERO_KEY,
+            tagged: false,
+            last_pop: (u64::MAX, ZERO_KEY, 0),
+            ambiguous_ties: 0,
+        }
+    }
+}
+
+impl KeyState {
+    fn get(&self, idx: u32) -> &TieKey {
+        if idx == NIL {
+            &ZERO_KEY
+        } else {
+            &self.slab[idx as usize]
+        }
+    }
+
+    /// The key a push at `now` receives: `now` prepended to the handled
+    /// event's ancestor window.
+    fn derive(&self, now: u64) -> TieKey {
+        let mut k = [0; KEY_DEPTH];
+        k[0] = now;
+        k[1..].copy_from_slice(&self.cur.0[..KEY_DEPTH - 1]);
+        TieKey(k)
+    }
+
+    /// Stores `key` for a pending event and returns its index.
+    fn insert(&mut self, key: TieKey) -> u32 {
+        match self.free.pop() {
+            Some(idx) => {
+                self.slab[idx as usize] = key;
+                idx
+            }
+            None => {
+                self.slab.push(key);
+                (self.slab.len() - 1) as u32
+            }
+        }
+    }
+
+    /// Records a served event: its key becomes the current one (freeing
+    /// its slot) and feeds the ambiguity detector. Comparing the seqs'
+    /// tag bits before the keys keeps the common cases — differing
+    /// instants, two plain pushes — to a few integer compares.
+    #[inline(never)]
+    fn served(&mut self, at: u64, idx: u32, seq: u64) {
+        self.cur = *self.get(idx);
+        if idx != NIL {
+            self.free.push(idx);
+        }
+        if !self.tagged {
+            return;
+        }
+        let (p_at, p_key, p_seq) = self.last_pop;
+        if p_at == at && p_seq >> SEQ_COUNTER_BITS != seq >> SEQ_COUNTER_BITS && p_key == self.cur {
+            self.ambiguous_ties += 1;
+        }
+        self.last_pop = (at, self.cur, seq);
+    }
+}
+
+/// Panic message for key operations on an unkeyed queue.
+const UNKEYED: &str =
+    "tie keys are off on this EventQueue: call enable_tie_keys before the first pop";
 
 /// A deterministic future-event list.
 ///
 /// Events pop in nondecreasing time order; events scheduled for the same
-/// instant pop in the order they were pushed (FIFO), never arbitrarily.
-/// More precisely, ties break by `(key, push order)` where `key` is a
-/// [`TieKey`] — the push instant plus a window of ancestor push
-/// instants. In plain sequential use the key is nondecreasing across
-/// pushes, so ties are exactly FIFO; [`EventQueue::push_ordered`] lets a
-/// sharded run insert a cross-shard message with the sender's key so it
-/// sorts where its sequential push would have occurred.
+/// instant pop in the order they were pushed (FIFO), never arbitrarily:
+/// the full order is `(time, push order)`. A *keyed* queue
+/// ([`EventQueue::enable_tie_keys`], used by the sharded runtime) breaks
+/// ties by `(key, push order)` instead, where `key` is a [`TieKey`] —
+/// the push instant plus a window of ancestor push instants. Plain
+/// pushes derive nondecreasing keys, so a keyed sequential run pops the
+/// same FIFO order (with one caveat, see
+/// [`enable_tie_keys`](EventQueue::enable_tie_keys));
+/// [`EventQueue::push_ordered`] lets a sharded run
+/// insert a cross-shard message with the sender's key so it sorts where
+/// its sequential push would have occurred.
 ///
 /// # Example
 ///
@@ -158,28 +281,17 @@ pub struct EventQueue<E> {
     /// Events beyond the wheel horizon. Always strictly later than every
     /// event in the wheel, so they only need inspecting when the wheel
     /// drains or the clock approaches them.
-    overflow: BinaryHeap<Scheduled<E>>,
-    /// Events at exactly `now`, in seq (= FIFO) order. `pop` serves from
-    /// here; pushes at the current instant append here directly.
+    overflow: BinaryHeap<Staged<E>>,
+    /// Events at exactly `now`, in pop order. `pop` serves from here;
+    /// pushes at the current instant append here directly.
     batch: VecDeque<Staged<E>>,
     now: u64,
     next_seq: u64,
-    /// Tie key of the event most recently popped (the one being
-    /// handled); pushes made while handling it derive their keys from
-    /// it.
-    cur_key: TieKey,
     /// Number of events resident in wheel slots (not batch or overflow):
     /// a one-load emptiness test for the overflow fast path.
     wheel_len: usize,
-    /// `true` once [`EventQueue::push_ordered`] has been used: only then
-    /// can a tie be ambiguous, so plain sequential queues skip the
-    /// detector entirely.
-    tagged: bool,
-    /// `(at, key, seq)` of the most recently served event, for the
-    /// adjacency check in [`note_pop`](Self::note_pop).
-    last_pop: (u64, TieKey, u64),
-    /// See [`EventQueue::ambiguous_ties`].
-    ambiguous_ties: u64,
+    /// Tie-key state, present only on a keyed queue.
+    keys: Option<Box<KeyState>>,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -189,6 +301,12 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
+    /// Bytes one pending event occupies in the wheel arena — the FEL's
+    /// per-event memory floor for an event type `E`.
+    pub fn node_bytes() -> usize {
+        std::mem::size_of::<Node<E>>()
+    }
+
     /// Creates an empty queue with the clock at [`SimTime::ZERO`].
     ///
     /// Allocation-free: the slot-head table materializes on the first
@@ -206,11 +324,8 @@ impl<E> EventQueue<E> {
             batch: VecDeque::new(),
             now: 0,
             next_seq: 0,
-            cur_key: TieKey::default(),
             wheel_len: 0,
-            tagged: false,
-            last_pop: (u64::MAX, TieKey::default(), 0),
-            ambiguous_ties: 0,
+            keys: None,
         }
     }
 
@@ -231,6 +346,44 @@ impl<E> EventQueue<E> {
             .reserve(additional.div_ceil(L0_SLOTS).max(UP_SLOTS));
     }
 
+    /// Makes this a *keyed* queue: from now on every push records a
+    /// [`TieKey`], same-instant events pop in `(key, push order)`, and
+    /// [`current_tie_key`](Self::current_tie_key),
+    /// [`push_ordered`](Self::push_ordered) and
+    /// [`ambiguous_ties`](Self::ambiguous_ties) become meaningful. The
+    /// sharded runtime switches this on for each logical process at
+    /// set-up; a sequential run never needs it, since plain pushes order
+    /// identically without keys — provided nothing is pushed between a
+    /// declined [`pop_at_or_before`](Self::pop_at_or_before) and the next
+    /// served event (the clock then sits past the handled event, so such
+    /// a push's key may sort it ahead of earlier same-time pushes).
+    /// Events already pending keep the all-zero key, which is the key
+    /// they would have received.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the queue has served an event or advanced its clock:
+    /// the keys of everything pushed since would be unknown.
+    pub fn enable_tie_keys(&mut self) {
+        assert!(
+            self.now == 0 && self.next_seq == self.len() as u64,
+            "EventQueue::enable_tie_keys must be called before the first pop"
+        );
+        self.keys.get_or_insert_with(Box::default);
+    }
+
+    /// The slab index of the key a push at this point receives.
+    #[inline]
+    fn push_key(&mut self) -> u32 {
+        match self.keys.as_deref_mut() {
+            None => NIL,
+            Some(k) => {
+                let key = k.derive(self.now);
+                k.insert(key)
+            }
+        }
+    }
+
     /// Schedules `event` to occur at absolute time `at`.
     ///
     /// # Panics
@@ -246,7 +399,7 @@ impl<E> EventQueue<E> {
         );
         // Release builds clamp instead of corrupting the wheel.
         let at = at.as_nanos().max(self.now);
-        let key = self.current_tie_key();
+        let key = self.push_key();
         let seq = self.next_seq;
         self.next_seq += 1;
         let x = at ^ self.now;
@@ -260,20 +413,20 @@ impl<E> EventQueue<E> {
             }
             self.batch.push_back(Staged {
                 at,
-                key,
                 seq,
+                key,
                 event,
             });
         } else if x >> WHEEL_BITS != 0 {
-            self.overflow.push(Scheduled {
-                at: SimTime::from_nanos(at),
-                key,
+            self.overflow.push(Staged {
+                at,
                 seq,
+                key,
                 event,
             });
         } else {
             self.ensure_heads();
-            let idx = self.alloc_node(at, key, seq, event);
+            let idx = self.alloc_node(at, seq, key, event);
             self.link(idx, at, x);
             self.wheel_len += 1;
         }
@@ -283,12 +436,14 @@ impl<E> EventQueue<E> {
     /// execution would receive: the current instant prepended to the
     /// handled event's ancestor window. A sharded run captures this on
     /// the sending shard when it emits a cross-shard message.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the queue is keyed
+    /// ([`enable_tie_keys`](Self::enable_tie_keys)).
     #[inline]
     pub fn current_tie_key(&self) -> TieKey {
-        let mut k = [0; KEY_DEPTH];
-        k[0] = self.now;
-        k[1..].copy_from_slice(&self.cur_key.0[..KEY_DEPTH - 1]);
-        TieKey(k)
+        self.keys.as_deref().expect(UNKEYED).derive(self.now)
     }
 
     /// Schedules `event` at `at` with an explicit tie-break `key` (a
@@ -312,10 +467,13 @@ impl<E> EventQueue<E> {
     ///
     /// # Panics
     ///
-    /// Panics in debug builds unless the key's push instant precedes
-    /// `at` and `at` is strictly in the future — lookahead guarantees
-    /// both for message delivery.
+    /// Panics unless the queue is keyed
+    /// ([`enable_tie_keys`](Self::enable_tie_keys)). Panics in debug
+    /// builds unless the key's push instant precedes `at` and `at` is
+    /// strictly in the future — lookahead guarantees both for message
+    /// delivery.
     pub fn push_ordered(&mut self, at: SimTime, key: TieKey, stream: u32, event: E) {
+        let keys = self.keys.as_deref_mut().expect(UNKEYED);
         let at = at.as_nanos();
         debug_assert!(
             key.0[0] <= at,
@@ -334,7 +492,8 @@ impl<E> EventQueue<E> {
             // Release-build fallback: degrade to a plain push.
             return self.push(SimTime::from_nanos(at), event);
         }
-        self.tagged = true;
+        keys.tagged = true;
+        let key = keys.insert(key);
         debug_assert!(
             self.next_seq >> SEQ_COUNTER_BITS == 0,
             "seq counter overflow"
@@ -343,15 +502,15 @@ impl<E> EventQueue<E> {
         self.next_seq += 1;
         let x = at ^ self.now;
         if x >> WHEEL_BITS != 0 {
-            self.overflow.push(Scheduled {
-                at: SimTime::from_nanos(at),
-                key,
+            self.overflow.push(Staged {
+                at,
                 seq,
+                key,
                 event,
             });
         } else {
             self.ensure_heads();
-            let idx = self.alloc_node(at, key, seq, event);
+            let idx = self.alloc_node(at, seq, key, event);
             self.link(idx, at, x);
             self.wheel_len += 1;
         }
@@ -373,14 +532,14 @@ impl<E> EventQueue<E> {
 
     /// Takes a node off the free list or grows the arena.
     #[inline]
-    fn alloc_node(&mut self, at: u64, key: TieKey, seq: u64, event: E) -> u32 {
+    fn alloc_node(&mut self, at: u64, seq: u64, key: u32, event: E) -> u32 {
         let idx = self.free_head;
         if idx != NIL {
             let n = &mut self.arena[idx as usize];
             self.free_head = n.next;
             n.at = at;
-            n.key = key;
             n.seq = seq;
+            n.key = key;
             n.event = Some(event);
             idx
         } else {
@@ -390,14 +549,14 @@ impl<E> EventQueue<E> {
                 // that wheel-places anything almost always holds tens of
                 // events, and the early grow-and-copy rounds are a
                 // measurable share of cold-queue push cost (~64 nodes is
-                // ~3 KiB, cheaper than four reallocation memcpys).
+                // ~2.5 KiB, cheaper than four reallocation memcpys).
                 self.arena.reserve(64 - self.arena.len());
             }
             self.arena.push(Node {
                 at,
-                key,
                 seq,
                 next: NIL,
+                key,
                 event: Some(event),
             });
             idx
@@ -447,25 +606,31 @@ impl<E> EventQueue<E> {
     /// the key dictates, and the remaining collision classes (plain
     /// local FIFO pairs, one stream's emission order) are reproduced by
     /// construction. Callers use a non-zero count to discard a sharded
-    /// run and fall back to the sequential path.
+    /// run and fall back to the sequential path. Always zero on an
+    /// unkeyed queue.
     pub fn ambiguous_ties(&self) -> u64 {
-        self.ambiguous_ties
+        self.keys.as_deref().map_or(0, |k| k.ambiguous_ties)
     }
 
-    /// Feeds the ambiguity detector with a served event. Only comparing
-    /// the seqs' tag bits before anything else keeps the common cases —
-    /// untagged queue, differing instants, two plain pushes — to a few
-    /// integer compares per pop.
+    /// Hands a dequeued event to the caller, first recording its key on
+    /// a keyed queue.
     #[inline]
-    fn note_pop(&mut self, at: u64, key: TieKey, seq: u64) {
-        if !self.tagged {
-            return;
+    fn serve(&mut self, e: Staged<E>) -> Option<(SimTime, E)> {
+        if let Some(k) = self.keys.as_deref_mut() {
+            k.served(e.at, e.key, e.seq);
         }
-        let (p_at, p_key, p_seq) = self.last_pop;
-        if p_at == at && p_seq >> SEQ_COUNTER_BITS != seq >> SEQ_COUNTER_BITS && p_key == key {
-            self.ambiguous_ties += 1;
+        Some((SimTime::from_nanos(e.at), e.event))
+    }
+
+    /// Sorts the batch (every entry at `now`) into pop order: by seq on
+    /// an unkeyed queue, by `(key, seq)` on a keyed one.
+    fn sort_batch(&mut self) {
+        let batch = self.batch.make_contiguous();
+        match self.keys.as_deref() {
+            None => batch.sort_unstable_by_key(|e| e.seq),
+            Some(k) => batch
+                .sort_unstable_by(|a, b| k.get(a.key).cmp(k.get(b.key)).then(a.seq.cmp(&b.seq))),
         }
-        self.last_pop = (at, key, seq);
     }
 
     /// Removes and returns the earliest event, advancing the clock to its
@@ -475,18 +640,14 @@ impl<E> EventQueue<E> {
         // Hot path 1: the current instant's batch is already staged.
         if let Some(e) = self.batch.pop_front() {
             debug_assert_eq!(e.at, self.now);
-            self.cur_key = e.key;
-            self.note_pop(e.at, e.key, e.seq);
-            return Some((SimTime::from_nanos(e.at), e.event));
+            return self.serve(e);
         }
         // Hot path 2: nothing in the wheel — serve the overflow heap
-        // directly; it already orders by (time, key, seq).
-        if self.wheel_len == 0 {
+        // directly; it already orders an unkeyed queue by (time, seq).
+        if self.wheel_len == 0 && self.keys.is_none() {
             let s = self.overflow.pop()?;
-            self.now = s.at.as_nanos();
-            self.cur_key = s.key;
-            self.note_pop(self.now, s.key, s.seq);
-            return Some((s.at, s.event));
+            self.now = s.at;
+            return self.serve(s);
         }
         self.pop_slow(u64::MAX)
     }
@@ -509,9 +670,7 @@ impl<E> EventQueue<E> {
                 self.batch.push_front(e);
                 return None;
             }
-            self.cur_key = e.key;
-            self.note_pop(e.at, e.key, e.seq);
-            return Some((SimTime::from_nanos(e.at), e.event));
+            return self.serve(e);
         }
         self.pop_slow(deadline.as_nanos())
     }
@@ -523,8 +682,8 @@ impl<E> EventQueue<E> {
         let n = &mut self.arena[idx as usize];
         let staged = Staged {
             at: n.at,
-            key: n.key,
             seq: n.seq,
+            key: n.key,
             event: n.event.take().expect("live arena node"),
         };
         self.free_node(idx);
@@ -540,19 +699,14 @@ impl<E> EventQueue<E> {
         loop {
             // A migration or cascade from a previous round may have
             // deposited events at exactly `now`; they arrive out of
-            // order, so sort before serving (all share `at`, so
-            // `(key, seq)` is the full tie order).
+            // order, so sort before serving.
             if !self.batch.is_empty() {
-                self.batch
-                    .make_contiguous()
-                    .sort_unstable_by_key(|e| (e.key, e.seq));
+                self.sort_batch();
                 if self.now > deadline {
                     return None;
                 }
                 let e = self.batch.pop_front().expect("batch is non-empty");
-                self.cur_key = e.key;
-                self.note_pop(e.at, e.key, e.seq);
-                return Some((SimTime::from_nanos(e.at), e.event));
+                return self.serve(e);
             }
             // Empty wheel: serve the overflow heap directly instead of
             // round-tripping events through slots. The heap ties on seq,
@@ -564,22 +718,21 @@ impl<E> EventQueue<E> {
             // into the wheel meanwhile.
             if self.wheel_len == 0 {
                 let s = self.overflow.pop()?;
-                let at = s.at.as_nanos();
-                self.now = at;
-                if at > deadline {
+                self.now = s.at;
+                if self.keys.is_some() {
+                    // Keys order ties, but the heap does not see them:
+                    // stage the whole instant for the batch sort.
+                    self.batch.push_back(s);
+                    self.stage_overflow_instant();
+                    continue;
+                }
+                if s.at > deadline {
                     // Declined: stage the event so it stays ahead of any
                     // later push at this instant.
-                    self.batch.push_back(Staged {
-                        at,
-                        key: s.key,
-                        seq: s.seq,
-                        event: s.event,
-                    });
+                    self.batch.push_back(s);
                     return None;
                 }
-                self.cur_key = s.key;
-                self.note_pop(at, s.key, s.seq);
-                return Some((s.at, s.event));
+                return self.serve(s);
             }
             // Pull overflow events that have entered the wheel horizon so
             // wheel order alone decides the next slot.
@@ -587,24 +740,15 @@ impl<E> EventQueue<E> {
                 while self
                     .overflow
                     .peek()
-                    .is_some_and(|top| (top.at.as_nanos() ^ self.now) >> WHEEL_BITS == 0)
+                    .is_some_and(|top| (top.at ^ self.now) >> WHEEL_BITS == 0)
                 {
                     let s = self.overflow.pop().expect("peeked entry pops");
-                    let at = s.at.as_nanos();
-                    let x = at ^ self.now;
+                    let x = s.at ^ self.now;
                     if x == 0 {
-                        // The heap pops same-instant events in
-                        // (key, seq) order, so appending keeps the
-                        // batch sorted.
-                        self.batch.push_back(Staged {
-                            at,
-                            key: s.key,
-                            seq: s.seq,
-                            event: s.event,
-                        });
+                        self.batch.push_back(s);
                     } else {
-                        let idx = self.alloc_node(at, s.key, s.seq, s.event);
-                        self.link(idx, at, x);
+                        let idx = self.alloc_node(s.at, s.seq, s.key, s.event);
+                        self.link(idx, s.at, x);
                         self.wheel_len += 1;
                     }
                 }
@@ -642,9 +786,7 @@ impl<E> EventQueue<E> {
                     // Single resident event: skip the sort and the batch.
                     self.wheel_len -= 1;
                     let e = self.unstage(idx);
-                    self.cur_key = e.key;
-                    self.note_pop(e.at, e.key, e.seq);
-                    return Some((SimTime::from_nanos(e.at), e.event));
+                    return self.serve(e);
                 }
                 while idx != NIL {
                     let next = self.arena[idx as usize].next;
@@ -683,9 +825,7 @@ impl<E> EventQueue<E> {
                         self.batch.push_back(e);
                         return None;
                     }
-                    self.cur_key = e.key;
-                    self.note_pop(e.at, e.key, e.seq);
-                    return Some((SimTime::from_nanos(e.at), e.event));
+                    return self.serve(e);
                 }
                 let window_mask = (1u64 << (shift + UP_BITS)) - 1;
                 let start = (self.now & !window_mask) | ((s as u64) << shift);
@@ -714,21 +854,12 @@ impl<E> EventQueue<E> {
     }
 
     /// Moves every overflow event scheduled for exactly `now` into the
-    /// batch (the heap pops them in (key, seq) order, so appending keeps
-    /// the batch sorted).
+    /// batch (the heap pops them in seq order, so appending keeps an
+    /// unkeyed batch sorted).
     fn stage_overflow_instant(&mut self) {
-        while self
-            .overflow
-            .peek()
-            .is_some_and(|t| t.at.as_nanos() == self.now)
-        {
+        while self.overflow.peek().is_some_and(|t| t.at == self.now) {
             let s = self.overflow.pop().expect("peeked entry pops");
-            self.batch.push_back(Staged {
-                at: self.now,
-                key: s.key,
-                seq: s.seq,
-                event: s.event,
-            });
+            self.batch.push_back(s);
         }
     }
 
@@ -742,7 +873,7 @@ impl<E> EventQueue<E> {
         // The overflow heap can hold events inside the current window
         // (left behind by the empty-wheel fast path in `pop_slow`), so
         // the wheel minimum must be compared against the overflow top.
-        let over = self.overflow.peek().map(|s| s.at);
+        let over = self.overflow.peek().map(|s| SimTime::from_nanos(s.at));
         let wheel = self.wheel_min_time();
         match (wheel, over) {
             (Some(w), Some(o)) => Some(w.min(o)),
@@ -1044,6 +1175,7 @@ mod tests {
         // send at an earlier instant — it must pop first, where the
         // sequential run's push would have placed it.
         let mut q = EventQueue::new();
+        q.enable_tie_keys();
         q.push(SimTime::from_nanos(10), "early handler");
         q.push(SimTime::from_nanos(20), "late handler");
         assert_eq!(q.pop().unwrap().1, "early handler");
@@ -1067,6 +1199,7 @@ mod tests {
     #[test]
     fn ordered_push_reaches_the_overflow_heap() {
         let mut q = EventQueue::new();
+        q.enable_tie_keys();
         q.push(SimTime::from_nanos(10), "tick");
         q.push(SimTime::from_nanos(20), "tock");
         assert_eq!(q.pop().unwrap().1, "tick");
@@ -1087,6 +1220,7 @@ mod tests {
         // through the whole key window: no bounded key can order them the
         // way the sequential run did, so the detector must flag the pair.
         let mut q = EventQueue::new();
+        q.enable_tie_keys();
         q.push(SimTime::from_nanos(10), 0);
         q.pop();
         let key = q.current_tie_key();
@@ -1102,6 +1236,7 @@ mod tests {
     #[test]
     fn full_key_collision_against_local_push_is_ambiguous() {
         let mut q = EventQueue::new();
+        q.enable_tie_keys();
         q.push(SimTime::from_nanos(10), 0);
         q.pop();
         // A local push and a message captured at the same handling point
@@ -1119,6 +1254,7 @@ mod tests {
         // One sender emitting two same-key messages: barrier order is the
         // sender's emission order, which is exactly the sequential order.
         let mut q = EventQueue::new();
+        q.enable_tie_keys();
         q.push(SimTime::from_nanos(10), 0);
         q.pop();
         let key = q.current_tie_key();
@@ -1143,5 +1279,73 @@ mod tests {
         }
         assert_eq!(q.len(), 8);
         assert!(q.arena.len() <= 16, "arena grew to {}", q.arena.len());
+    }
+
+    #[test]
+    fn keyed_queue_recycles_its_key_slots() {
+        // The same hold pattern on a keyed queue: served events free
+        // their key slots, so the slab stays at the pending population.
+        let mut q = EventQueue::new();
+        q.enable_tie_keys();
+        for i in 0..8u64 {
+            q.push(SimTime::from_nanos(1 + i), i);
+        }
+        for _ in 0..10_000 {
+            let (at, e) = q.pop().unwrap();
+            q.push(at + SimDuration::from_nanos(8), e);
+        }
+        let keys = q.keys.as_deref().unwrap();
+        assert!(
+            keys.slab.len() <= 16,
+            "key slab grew to {}",
+            keys.slab.len()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "tie keys are off")]
+    fn push_ordered_needs_a_keyed_queue() {
+        let mut q = EventQueue::new();
+        q.push_ordered(SimTime::from_nanos(5), TieKey::default(), 1, ());
+    }
+
+    #[test]
+    #[should_panic(expected = "tie keys are off")]
+    fn current_tie_key_needs_a_keyed_queue() {
+        let q: EventQueue<()> = EventQueue::new();
+        q.current_tie_key();
+    }
+
+    #[test]
+    #[should_panic(expected = "before the first pop")]
+    fn tie_keys_cannot_be_enabled_after_a_pop() {
+        let mut q = EventQueue::new();
+        q.push(SimTime::ZERO, ());
+        q.pop();
+        q.enable_tie_keys();
+    }
+
+    #[test]
+    fn tie_keys_can_be_enabled_with_events_pending() {
+        // Events pushed before any pop carry the all-zero key — the key
+        // they would have received on a keyed queue.
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_nanos(3), 'a');
+        q.push(SimTime::from_nanos(3), 'b');
+        q.enable_tie_keys();
+        assert_eq!(q.current_tie_key(), TieKey::default());
+        assert_eq!(q.pop().unwrap().1, 'a');
+        assert_eq!(q.pop().unwrap().1, 'b');
+    }
+
+    /// Arena nodes carry only a 4-byte key index, never the 128-byte
+    /// key itself: the node is the FEL's per-event memory floor.
+    #[test]
+    fn nodes_fit_their_budget() {
+        assert!(
+            EventQueue::<u64>::node_bytes() <= 40,
+            "Node<u64> is {} bytes",
+            EventQueue::<u64>::node_bytes()
+        );
     }
 }

@@ -38,8 +38,8 @@ pub mod time;
 pub use event::{EventQueue, Simulation, TieKey};
 pub use heap_fel::HeapQueue;
 pub use lp::{
-    last_run_profile, run_conservative, run_conservative_matrix, LogicalProcess, LookaheadMatrix,
-    LpMessage, LpRunProfile,
+    last_run_profile, publish_run_profile, run_conservative, run_conservative_matrix,
+    LogicalProcess, LookaheadMatrix, LpMessage, LpRunProfile,
 };
 pub use time::{SimDuration, SimTime};
 

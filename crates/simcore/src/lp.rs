@@ -59,6 +59,7 @@
 //! so [`WindowBarrier`] picks parking instead (wall clock only; the
 //! schedule never depends on the barrier flavor).
 
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -273,15 +274,16 @@ impl WindowBarrier {
 /// Sentinel for "no pending event" in the published-time atomics.
 const IDLE: u64 = u64::MAX;
 
-/// Wall-clock profile of the last conservative run on this process:
-/// window count, cross-LP messages delivered, the coordinator's
-/// cumulative barrier-wait time, the run's total wall clock, and the
-/// per-LP split of worker time into busy (message merge + window
-/// execution) and blocked (barrier waits). Counters are accumulated in
-/// thread-locals and published once at run exit; they have no effect on
-/// the schedule — they exist so the bench harness can report how the
-/// conservative protocol spends its time (windows per run, messages per
-/// window, barrier overhead, LP load imbalance).
+/// Wall-clock profile of the last conservative run on the calling
+/// thread: window count, cross-LP messages delivered, the coordinator's
+/// cumulative barrier-wait time, the run's total wall clock, the per-LP
+/// split of worker time into busy (message merge + window execution)
+/// and blocked (barrier waits), and — filled in by the caller that
+/// wraps the run — whether its result was kept. Counters are
+/// accumulated per worker and published once at run exit; they have no
+/// effect on the schedule — they exist so the bench harness can report
+/// how the conservative protocol spends its time (windows per run,
+/// messages per window, barrier overhead, LP load imbalance).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LpRunProfile {
     /// Conservative windows executed.
@@ -300,6 +302,12 @@ pub struct LpRunProfile {
     pub per_lp_blocked_nanos: Vec<u64>,
     /// Per-LP count of cross-LP messages received.
     pub per_lp_messages: Vec<u64>,
+    /// Same-instant ties the run could not order as the sequential run
+    /// would (summed `EventQueue::ambiguous_ties` over the LPs).
+    pub ambiguous_ties: u64,
+    /// Why the caller discarded the run and produced its result
+    /// sequentially instead, or `None` when the sharded result was kept.
+    pub fallback: Option<&'static str>,
 }
 
 impl LpRunProfile {
@@ -349,22 +357,24 @@ impl LpRunProfile {
     }
 }
 
-static PROFILE: Mutex<LpRunProfile> = Mutex::new(LpRunProfile {
-    windows: 0,
-    messages: 0,
-    barrier_wait_nanos: 0,
-    total_wall_nanos: 0,
-    per_lp_busy_nanos: Vec::new(),
-    per_lp_blocked_nanos: Vec::new(),
-    per_lp_messages: Vec::new(),
-});
+thread_local! {
+    static PROFILE: RefCell<LpRunProfile> = RefCell::new(LpRunProfile::default());
+}
 
 /// The profile of the most recent [`run_conservative`] /
-/// [`run_conservative_matrix`] call. Process-wide and overwritten by
-/// every run (concurrent runs interleave), so read it immediately after
-/// the run of interest.
+/// [`run_conservative_matrix`] call made on this thread, as amended by
+/// [`publish_run_profile`]. Overwritten by every run, so read it right
+/// after the run of interest; runs on other threads never touch it.
 pub fn last_run_profile() -> LpRunProfile {
-    PROFILE.lock().expect("profile lock").clone()
+    PROFILE.with(|p| p.borrow().clone())
+}
+
+/// Replaces this thread's [`last_run_profile`]. A caller that wraps a
+/// conservative run publishes its outcome here on every exit path —
+/// including a fallback that never reached the runner — so the profile
+/// never describes an earlier run.
+pub fn publish_run_profile(profile: LpRunProfile) {
+    PROFILE.with(|p| *p.borrow_mut() = profile);
 }
 
 /// One double-buffered message lane from a fixed source LP to a fixed
@@ -435,6 +445,7 @@ pub fn run_conservative_matrix<L: LogicalProcess>(
     let k = lps.len();
     assert_eq!(lookahead.len(), k, "lookahead matrix must cover every LP");
     if k == 0 {
+        publish_run_profile(LpRunProfile::default());
         return;
     }
     for s in 0..k {
@@ -629,8 +640,10 @@ pub fn run_conservative_matrix<L: LogicalProcess>(
             .iter()
             .map(|s| s.messages.load(Ordering::Acquire))
             .collect(),
+        ambiguous_ties: 0,
+        fallback: None,
     };
-    *PROFILE.lock().expect("profile lock") = profile;
+    publish_run_profile(profile);
 }
 
 #[cfg(test)]
